@@ -15,12 +15,12 @@
 //!    components fine-tune every `retrain_every` episodes.
 //!
 //! The run loop itself lives in [`crate::pipeline`]: a staged
-//! [`Driver`](crate::pipeline::Driver) composing
+//! [`Driver`] composing
 //! [`CandidateSource`](crate::pipeline::CandidateSource),
 //! [`RewardModel`](crate::pipeline::RewardModel) and
 //! [`Learner`](crate::pipeline::Learner) stages over a single
 //! [`SearchState`](crate::pipeline::SearchState). [`FastFt`] is a thin
-//! façade over [`Session`](crate::pipeline::Session) that keeps the
+//! façade over [`Session`] that keeps the
 //! original one-call API.
 
 use crate::checkpoint;
@@ -52,7 +52,7 @@ impl FastFt {
     /// Run the full pipeline on `data` and return the best transformed
     /// dataset found, with traces and timing.
     ///
-    /// Equivalent to a one-dataset [`Session`](crate::pipeline::Session);
+    /// Equivalent to a one-dataset [`Session`];
     /// use a `Session` directly to run several datasets over one shared
     /// worker pool.
     ///

@@ -1,5 +1,5 @@
 //! Run reporting: human-readable summaries and CSV traces of a
-//! [`RunResult`](crate::engine::RunResult), plus re-application of a saved
+//! [`RunResult`], plus re-application of a saved
 //! feature set to new data via the expression parser.
 
 use crate::engine::RunResult;

@@ -11,7 +11,7 @@ use crate::boosting::{BoostParams, GradientBoostingClassifier, GradientBoostingR
 use crate::forest::{ForestParams, RandomForestClassifier, RandomForestRegressor};
 use crate::knn::Knn;
 use crate::linear::{LinearSvm, LogisticRegression, RidgeClassifier, RidgeRegressor};
-use crate::tree::{CartParams, DecisionTreeClassifier, DecisionTreeRegressor, SplitMethod};
+use crate::tree::{argmax, CartParams, DecisionTreeClassifier, DecisionTreeRegressor, SplitMethod};
 use fastft_runtime::Runtime;
 use fastft_tabular::dataset::Dataset;
 use fastft_tabular::metrics::{self, Metric};
@@ -313,7 +313,7 @@ impl Evaluator {
             ModelKind::RandomForest => {
                 let mut m = RandomForestClassifier::new(self.forest_params(), self.seed);
                 m.fit(train_cols, y, n_classes);
-                (m.predict(test_rows), m.predict_scores(test_rows))
+                labels_and_scores(test_rows, n_classes, |r| m.predict_proba_row(r))
             }
             ModelKind::GradientBoosting => {
                 let mut m = GradientBoostingClassifier::new(self.boost_params(), self.seed);
@@ -323,12 +323,7 @@ impl Evaluator {
             ModelKind::DecisionTree => {
                 let mut m = DecisionTreeClassifier::new(self.cart_params(), self.seed);
                 m.fit(train_cols, y, n_classes);
-                let pred = m.predict(test_rows);
-                let scores = test_rows
-                    .iter()
-                    .map(|r| m.predict_proba_row(r)[1.min(n_classes - 1)])
-                    .collect();
-                (pred, scores)
+                labels_and_scores(test_rows, n_classes, |r| m.leaf_proba(r))
             }
             ModelKind::Logistic => {
                 let mut m = LogisticRegression::new(self.seed);
@@ -353,6 +348,23 @@ impl Evaluator {
             }
         }
     }
+}
+
+/// Hard labels and positive-class scores (class 1, AUC input) from one
+/// probability vector per row, so each test row goes through the model
+/// once.
+fn labels_and_scores<P: AsRef<[f64]>>(
+    rows: &[Vec<f64>],
+    n_classes: usize,
+    proba: impl Fn(&[f64]) -> P,
+) -> (Vec<usize>, Vec<f64>) {
+    rows.iter()
+        .map(|r| {
+            let p = proba(r);
+            let p = p.as_ref();
+            (argmax(p), p[1.min(n_classes - 1)])
+        })
+        .unzip()
 }
 
 fn score_regression(metric: Metric, y: &[f64], pred: &[f64]) -> FastFtResult<f64> {

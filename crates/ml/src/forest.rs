@@ -107,7 +107,7 @@ impl RandomForestClassifier {
         assert!(!self.trees.is_empty(), "fit first");
         let mut acc = vec![0.0; self.n_classes];
         for t in &self.trees {
-            for (a, p) in acc.iter_mut().zip(t.predict_proba_row(row)) {
+            for (a, p) in acc.iter_mut().zip(t.leaf_proba(row)) {
                 *a += p;
             }
         }

@@ -10,12 +10,27 @@
 //!   `O(rows · log rows · features)` per node, the textbook procedure.
 //! - [`SplitMethod::Histogram`] (the default) quantile-bins every feature
 //!   once per fit into `u8` codes ([`crate::binning::BinnedMatrix`]),
-//!   builds per-node gradient/count histograms in one `O(rows)` pass,
-//!   scans bin boundaries instead of row boundaries, and derives the
-//!   larger child's histogram by subtracting the smaller child from the
-//!   parent, so only the smaller child is ever re-scanned. Histogram and
-//!   row-index buffers are pooled across the whole fit, eliminating the
-//!   per-node allocation churn of the exact path.
+//!   builds per-node gradient/count histograms in one `O(rows)` pass and
+//!   scans bin boundaries instead of row boundaries. Each tree obtains
+//!   its node histograms one of two ways:
+//!   - *Sibling subtraction* (regression, and any tree that considers
+//!     every feature at each node): histograms cover all features; only
+//!     the smaller child is re-scanned and the larger child's histogram
+//!     is the parent's minus the smaller one.
+//!   - *Direct sampled build* (gini trees with `max_features = k < d`,
+//!     i.e. random-forest classifiers): each node draws its feature
+//!     sample first and builds histograms for those `k` features only,
+//!     from its own rows, into one `k`-feature buffer reused at every
+//!     node. Node totals come from the parent: the left child's are the
+//!     winning split's left accumulator, the right child's the parent's
+//!     minus the left. Gini slots are integer-valued counts, so no
+//!     summation order can change a bit and both ways grow the identical
+//!     tree; regression sums target values in floating point, whose
+//!     results depend on the order of addition, so it keeps subtraction.
+//!
+//!   Both ways share one bin scan and one stable row partition, and pool
+//!   their buffers across the whole fit, eliminating the per-node
+//!   allocation churn of the exact path.
 //!
 //! NaN feature values are deterministic in both backends: prediction
 //! routes NaN right (any `NaN <= t` is false), the histogram path bins
@@ -139,6 +154,11 @@ trait Criterion {
     fn hist_impurity(&self, acc: &[f64]) -> f64;
     /// Leaf payload of an accumulator.
     fn hist_leaf(&self, acc: &[f64]) -> Vec<f64>;
+    /// Whether every histogram slot holds an integer count, so its value
+    /// does not depend on the order rows are added in. Only then may a
+    /// node rebuild its histograms from its own rows instead of deriving
+    /// them by sibling subtraction without changing a single bit.
+    const INTEGER_SLOTS: bool;
 }
 
 struct GiniCriterion<'a> {
@@ -204,6 +224,8 @@ impl Criterion for GiniCriterion<'_> {
         }
         acc[1..].iter().map(|c| c / n).collect()
     }
+
+    const INTEGER_SLOTS: bool = true;
 }
 
 struct VarCriterion<'a> {
@@ -267,6 +289,9 @@ impl Criterion for VarCriterion<'_> {
     fn hist_leaf(&self, acc: &[f64]) -> Vec<f64> {
         vec![if acc[0] <= 0.0 { 0.0 } else { acc[1] / acc[0] }]
     }
+
+    // Float sums of targets depend on the order of addition.
+    const INTEGER_SLOTS: bool = false;
 }
 
 #[derive(Debug, Clone)]
@@ -275,24 +300,25 @@ struct Cart {
     importances: Vec<f64>,
 }
 
-/// Pooled buffers for one histogram-mode fit: histogram buffers are
-/// recycled through a free list (peak ≈ tree depth + 1 alive at once) and
-/// one scratch vector serves every stable row partition, so growing a node
-/// allocates nothing once the pools are warm.
+/// Pooled buffers for one histogram-mode fit. On the subtraction path
+/// full histogram buffers are recycled through a free list (peak ≈ tree
+/// depth + 1 alive at once); on the direct path one `k × stride × width`
+/// buffer holds the sampled features' histograms of whichever node is
+/// being split. One scratch vector serves every stable row partition, so
+/// growing a node allocates nothing once the pools are warm.
 struct HistWorkspace {
-    /// Recycled histogram buffers, each `n_features * stride * width`.
+    /// Recycled full histogram buffers, each `n_features * stride * width`.
     free: Vec<Vec<f64>>,
-    /// Histogram buffer length.
+    /// Full histogram buffer length.
     size: usize,
+    /// Direct path: the current node's sampled-feature histograms, one
+    /// `stride * width` block per sampled feature (empty otherwise).
+    sampled: Vec<f64>,
     /// Right-side rows staging area for in-place stable partition.
     scratch: Vec<usize>,
 }
 
 impl HistWorkspace {
-    fn new(size: usize, n_rows: usize) -> Self {
-        HistWorkspace { free: Vec::new(), size, scratch: Vec::with_capacity(n_rows) }
-    }
-
     fn alloc(&mut self) -> Vec<f64> {
         match self.free.pop() {
             Some(mut buf) => {
@@ -306,22 +332,78 @@ impl HistWorkspace {
     fn release(&mut self, buf: Vec<f64>) {
         self.free.push(buf);
     }
+
+    /// Stable in-place partition of `rows` into `codes[r] <= bin` (front)
+    /// and the rest; returns the left count. Keeping the incoming order
+    /// inside each child makes the partition deterministic.
+    fn partition(&mut self, rows: &mut [usize], codes: &[u8], bin: usize) -> usize {
+        self.scratch.clear();
+        let mut w = 0;
+        for i in 0..rows.len() {
+            let r = rows[i];
+            if (codes[r] as usize) <= bin {
+                rows[w] = r;
+                w += 1;
+            } else {
+                self.scratch.push(r);
+            }
+        }
+        rows[w..].copy_from_slice(&self.scratch);
+        w
+    }
+}
+
+/// Add `rows` into one feature's bin block (`codes` is that feature's
+/// code column).
+fn accumulate<C: Criterion>(crit: &C, codes: &[u8], rows: &[usize], block: &mut [f64]) {
+    let width = crit.hist_width();
+    for &r in rows {
+        let off = codes[r] as usize * width;
+        crit.hist_add(&mut block[off..off + width], r);
+    }
 }
 
 /// Accumulate the histogram of `rows` over every feature into `hist`
 /// (assumed zeroed), laid out `[feature][bin][slot]` with uniform
 /// `stride` bins per feature.
 fn build_hist<C: Criterion>(binned: &BinnedMatrix, crit: &C, rows: &[usize], hist: &mut [f64]) {
+    let block = binned.stride() * crit.hist_width();
+    for (f, block) in hist.chunks_mut(block).enumerate().take(binned.n_features()) {
+        accumulate(crit, binned.codes(f), rows, block);
+    }
+}
+
+/// Build the histograms of `rows` for the sampled `features` only:
+/// block `i` of `buf` holds feature `features[i]`, and each block
+/// zero-fills just its feature's `n_bins + 1` bins before accumulating.
+fn build_sampled_hist<C: Criterion>(
+    binned: &BinnedMatrix,
+    crit: &C,
+    features: &[usize],
+    rows: &[usize],
+    buf: &mut [f64],
+) {
     let width = crit.hist_width();
-    let stride = binned.stride();
-    for f in 0..binned.n_features() {
-        let codes = binned.codes(f);
-        let base = f * stride * width;
-        for &r in rows {
-            let off = base + codes[r] as usize * width;
-            crit.hist_add(&mut hist[off..off + width], r);
+    for (&f, block) in features.iter().zip(buf.chunks_mut(binned.stride() * width)) {
+        let used = &mut block[..(binned.n_bins(f) + 1) * width];
+        used.fill(0.0);
+        accumulate(crit, binned.codes(f), rows, used);
+    }
+}
+
+/// Node totals of a full histogram: every row lands in exactly one bin of
+/// feature 0 (including its missing bin), so summing that feature's bins
+/// recovers them.
+fn hist_totals(binned: &BinnedMatrix, width: usize, hist: &[f64]) -> Vec<f64> {
+    let mut node = vec![0.0; width];
+    if binned.n_features() > 0 {
+        for bin in hist[..(binned.n_bins(0) + 1) * width].chunks(width) {
+            for (slot, v) in node.iter_mut().zip(bin) {
+                *slot += v;
+            }
         }
     }
+    node
 }
 
 impl Cart {
@@ -341,21 +423,60 @@ impl Cart {
     }
 
     /// Histogram-mode fit over a prebuilt [`BinnedMatrix`].
+    ///
+    /// An integer-count criterion (gini) with a feature sample `k < d`
+    /// builds each node's histograms for its `k` sampled features
+    /// directly; everything else keeps sibling subtraction over all `d`
+    /// features. Both paths grow bit-identical trees for such criteria.
     fn fit_hist<C: Criterion>(
+        binned: &BinnedMatrix,
+        crit: &C,
+        params: &CartParams,
+        rows: Vec<usize>,
+        rng: &mut StdRng,
+    ) -> Cart {
+        let direct =
+            C::INTEGER_SLOTS && matches!(params.max_features, Some(k) if k < binned.n_features());
+        Cart::fit_hist_with(binned, crit, params, rows, rng, direct)
+    }
+
+    /// [`Cart::fit_hist`] with the path chosen by the caller: `direct`
+    /// builds sampled-feature histograms per node, otherwise full
+    /// histograms are derived by sibling subtraction.
+    fn fit_hist_with<C: Criterion>(
         binned: &BinnedMatrix,
         crit: &C,
         params: &CartParams,
         mut rows: Vec<usize>,
         rng: &mut StdRng,
+        direct: bool,
     ) -> Cart {
         let n_features = binned.n_features();
         let n_total = rows.len();
         let mut tree = Cart { nodes: Vec::new(), importances: vec![0.0; n_features] };
         let width = crit.hist_width();
-        let mut ws = HistWorkspace::new(n_features * binned.stride() * width, n_total);
-        let mut root = ws.alloc();
-        build_hist(binned, crit, &rows, &mut root);
-        tree.grow_hist(binned, crit, params, &mut ws, &mut rows, root, 0, n_total, rng);
+        let block = binned.stride() * width;
+        let mut ws = HistWorkspace {
+            free: Vec::new(),
+            size: n_features * block,
+            sampled: Vec::new(),
+            scratch: Vec::with_capacity(n_total),
+        };
+        let (root, totals) = if direct {
+            let k = params.max_features.map_or(n_features, |k| k.min(n_features));
+            ws.sampled = vec![0.0; k * block];
+            let mut totals = vec![0.0; width];
+            for &r in &rows {
+                crit.hist_add(&mut totals, r);
+            }
+            (None, totals)
+        } else {
+            let mut root = ws.alloc();
+            build_hist(binned, crit, &rows, &mut root);
+            let totals = hist_totals(binned, width, &root);
+            (Some(root), totals)
+        };
+        tree.grow_hist(binned, crit, params, &mut ws, &mut rows, root, totals, 0, n_total, rng);
         tree.normalise_importances();
         tree
     }
@@ -371,8 +492,11 @@ impl Cart {
     }
 
     /// Recursively grow a histogram-mode subtree; returns its root node
-    /// index. `hist` is this node's histogram (ownership transfers in:
-    /// it is either recycled into `ws` or reused for the larger child).
+    /// index. `node` holds this node's totals. `hist` is its full
+    /// histogram on the subtraction path (ownership transfers in: it is
+    /// either recycled into `ws` or reused for the larger child) and
+    /// `None` on the direct path, which rebuilds the sampled features'
+    /// histograms from `rows`.
     #[allow(clippy::too_many_arguments)]
     fn grow_hist<C: Criterion>(
         &mut self,
@@ -381,69 +505,67 @@ impl Cart {
         params: &CartParams,
         ws: &mut HistWorkspace,
         rows: &mut [usize],
-        hist: Vec<f64>,
+        hist: Option<Vec<f64>>,
+        node: Vec<f64>,
         depth: usize,
         n_total: usize,
         rng: &mut StdRng,
     ) -> usize {
         let n = rows.len();
         let width = crit.hist_width();
-        // Node-level stats: every row lands in exactly one bin of feature
-        // 0 (including its missing bin), so summing that feature's bins
-        // recovers the node totals.
-        let mut node = vec![0.0; width];
-        if binned.n_features() > 0 {
-            for b in 0..=binned.n_bins(0) {
-                let off = b * width;
-                for (k, slot) in node.iter_mut().enumerate() {
-                    *slot += hist[off + k];
-                }
-            }
-        }
+        let block = binned.stride() * width;
         let impurity = crit.hist_impurity(&node);
 
         let make_leaf =
             depth >= params.max_depth || n < params.min_samples_split || impurity <= 1e-12;
         if !make_leaf {
-            if let Some((feature, bin, gain)) =
-                best_split_hist(binned, crit, params, &hist, &node, impurity, rng)
-            {
+            let features = sample_features(params, binned.n_features(), rng);
+            let split = match &hist {
+                Some(h) => {
+                    let blocks = features.iter().map(|&f| (f, &h[f * block..(f + 1) * block]));
+                    best_split_hist(binned, crit, params, blocks, &node, impurity)
+                }
+                None => {
+                    build_sampled_hist(binned, crit, &features, rows, &mut ws.sampled);
+                    let blocks = features.iter().copied().zip(ws.sampled.chunks(block));
+                    best_split_hist(binned, crit, params, blocks, &node, impurity)
+                }
+            };
+            if let Some(HistSplit { feature, bin, gain, left: left_totals }) = split {
                 let threshold = binned.threshold(feature, bin);
                 self.importances[feature] += gain * n as f64 / n_total as f64;
-                // Stable in-place partition on bin codes keeps rows in
-                // ascending order inside each child (cache-friendly
-                // histogram scans) and is deterministic.
-                let codes = binned.codes(feature);
-                ws.scratch.clear();
-                let mut w = 0;
-                for i in 0..n {
-                    let r = rows[i];
-                    if (codes[r] as usize) <= bin {
-                        rows[w] = r;
-                        w += 1;
-                    } else {
-                        ws.scratch.push(r);
-                    }
-                }
-                rows[w..].copy_from_slice(&ws.scratch);
+                let w = ws.partition(rows, binned.codes(feature), bin);
                 let (left_rows, right_rows) = rows.split_at_mut(w);
-                // Sibling subtraction: scan only the smaller child; the
-                // larger child's histogram is parent − smaller, reusing
-                // the parent's buffer.
-                let left_smaller = left_rows.len() <= right_rows.len();
-                let mut small = ws.alloc();
-                build_hist(
-                    binned,
-                    crit,
-                    if left_smaller { &*left_rows } else { &*right_rows },
-                    &mut small,
-                );
-                let mut large = hist;
-                for (l, s) in large.iter_mut().zip(&small) {
-                    *l -= *s;
-                }
-                let (left_hist, right_hist) =
-                    if left_smaller { (small, large) } else { (large, small) };
+                let ((left_hist, left_node), (right_hist, right_node)) = match hist {
+                    Some(parent) => {
+                        // Sibling subtraction: scan only the smaller
+                        // child; the larger child's histogram is parent −
+                        // smaller, reusing the parent's buffer.
+                        let left_smaller = left_rows.len() <= right_rows.len();
+                        let mut small = ws.alloc();
+                        build_hist(
+                            binned,
+                            crit,
+                            if left_smaller { &*left_rows } else { &*right_rows },
+                            &mut small,
+                        );
+                        let mut large = parent;
+                        for (l, s) in large.iter_mut().zip(&small) {
+                            *l -= *s;
+                        }
+                        let (l, r) = if left_smaller { (small, large) } else { (large, small) };
+                        let (l_node, r_node) =
+                            (hist_totals(binned, width, &l), hist_totals(binned, width, &r));
+                        ((Some(l), l_node), (Some(r), r_node))
+                    }
+                    None => {
+                        // Counts are exact, so the right child's totals
+                        // are the parent's minus the winning left side.
+                        let right_totals =
+                            node.iter().zip(&left_totals).map(|(p, l)| p - l).collect();
+                        ((None, left_totals), (None, right_totals))
+                    }
+                };
                 let idx = self.nodes.len();
                 self.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
                 let left = self.grow_hist(
@@ -453,6 +575,7 @@ impl Cart {
                     ws,
                     left_rows,
                     left_hist,
+                    left_node,
                     depth + 1,
                     n_total,
                     rng,
@@ -464,6 +587,7 @@ impl Cart {
                     ws,
                     right_rows,
                     right_hist,
+                    right_node,
                     depth + 1,
                     n_total,
                     rng,
@@ -475,7 +599,9 @@ impl Cart {
                 return idx;
             }
         }
-        ws.release(hist);
+        if let Some(h) = hist {
+            ws.release(h);
+        }
         let idx = self.nodes.len();
         self.nodes.push(Node::Leaf { value: crit.hist_leaf(&node) });
         idx
@@ -623,44 +749,49 @@ fn best_split<C: Criterion>(
     })
 }
 
-/// Histogram best split over (subsampled) features: scan bin boundaries
-/// with cumulative statistics; the missing bin (highest code) always
-/// stays on the right.
-///
-/// Returns `(feature, bin, impurity_decrease)` realising "code <= bin".
-fn best_split_hist<C: Criterion>(
+/// Winning histogram split: the partition "code <= bin" of `feature`,
+/// its impurity decrease and the left child's accumulated totals.
+struct HistSplit {
+    feature: usize,
+    bin: usize,
+    gain: f64,
+    left: Vec<f64>,
+}
+
+/// Histogram best split over candidate features, each given with its
+/// bin block (`stride * width` slots): scan bin boundaries with
+/// cumulative statistics; the missing bin (highest code) always stays on
+/// the right. Shared by the subtraction and direct paths, which differ
+/// only in where the blocks come from.
+fn best_split_hist<'h, C: Criterion>(
     binned: &BinnedMatrix,
     crit: &C,
     params: &CartParams,
-    hist: &[f64],
+    candidates: impl Iterator<Item = (usize, &'h [f64])>,
     node: &[f64],
     parent_impurity: f64,
-    rng: &mut StdRng,
-) -> Option<(usize, usize, f64)> {
+) -> Option<HistSplit> {
     let n = node[0] as usize;
-    let feature_idx = sample_features(params, binned.n_features(), rng);
     let width = crit.hist_width();
-    let stride = binned.stride();
     let mut best: Option<(usize, usize, f64)> = None;
+    let mut best_left = vec![0.0; width];
     let mut left = vec![0.0; width];
     let mut right = vec![0.0; width];
-    for &f in &feature_idx {
+    for (f, hist) in candidates {
         let nb = binned.n_bins(f);
         if nb == 0 {
             continue; // all-NaN column: nothing to split on
         }
         left.fill(0.0);
         right.copy_from_slice(node);
-        let base = f * stride * width;
-        for b in 0..nb {
-            let off = base + b * width;
-            if hist[off] == 0.0 {
+        for (b, bin) in hist[..nb * width].chunks_exact(width).enumerate() {
+            if bin[0] == 0.0 {
                 // Empty bin: identical partition to the previous boundary.
                 continue;
             }
-            for k in 0..width {
-                left[k] += hist[off + k];
-                right[k] -= hist[off + k];
+            for ((l, r), v) in left.iter_mut().zip(right.iter_mut()).zip(bin) {
+                *l += v;
+                *r -= v;
             }
             let n_left = left[0] as usize;
             let n_right = n - n_left;
@@ -676,10 +807,11 @@ fn best_split_hist<C: Criterion>(
             let gain = parent_impurity - child;
             if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
                 best = Some((f, b, gain));
+                best_left.copy_from_slice(&left);
             }
         }
     }
-    best
+    best.map(|(feature, bin, gain)| HistSplit { feature, bin, gain, left: best_left })
 }
 
 /// Grow a tree with the backend selected by `params.split_method`,
@@ -726,12 +858,18 @@ impl DecisionTreeClassifier {
 
     /// Class-probability vector for one row.
     pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        self.tree.as_ref().expect("fit first").predict_row(row).to_vec()
+        self.leaf_proba(row).to_vec()
+    }
+
+    /// Class distribution of the leaf `row` lands in, borrowed from the
+    /// tree (no per-row allocation).
+    pub(crate) fn leaf_proba(&self, row: &[f64]) -> &[f64] {
+        self.tree.as_ref().expect("fit first").predict_row(row)
     }
 
     /// Hard label for one row.
     pub fn predict_row(&self, row: &[f64]) -> usize {
-        argmax(self.tree.as_ref().expect("fit first").predict_row(row))
+        argmax(self.leaf_proba(row))
     }
 
     /// Hard labels for a row-major batch.
@@ -1064,6 +1202,99 @@ mod tests {
 
         for row in cols[0].iter().zip(&cols[1]).map(|(&a, &b)| [a, b]) {
             assert_eq!(auto.predict_row(&row).to_bits(), pre.predict_row(&row).to_bits());
+        }
+    }
+
+    /// Node-for-node bit pattern of a tree: split features, thresholds and
+    /// child links, leaf payloads, then the importances.
+    fn tree_bits(tree: &Cart) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for node in &tree.nodes {
+            match node {
+                Node::Split { feature, threshold, left, right } => {
+                    bits.extend([0, *feature as u64, threshold.to_bits()]);
+                    bits.extend([*left as u64, *right as u64]);
+                }
+                Node::Leaf { value } => {
+                    bits.push(1);
+                    bits.extend(value.iter().map(|v| v.to_bits()));
+                }
+            }
+        }
+        bits.extend(tree.importances.iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn direct_sampled_build_matches_sibling_subtraction() {
+        // Seeded columns with ~10% NaNs plus an all-NaN column (no finite
+        // bins) and a constant column, so both degenerate bin layouts sit
+        // among the sampled features.
+        let n = 300;
+        let mut rng = rngx::rng(21);
+        let mut cols: Vec<Vec<f64>> = (0..4)
+            .map(|_| {
+                rngx::normal_vec(&mut rng, n)
+                    .into_iter()
+                    .map(|v| if rng.gen_range(0..10) == 0 { f64::NAN } else { v })
+                    .collect()
+            })
+            .collect();
+        cols.push(vec![f64::NAN; n]);
+        cols.push(vec![3.0; n]);
+        let d = cols.len();
+        let binned = BinnedMatrix::build(&cols, 255);
+        assert_eq!(binned.n_bins(d - 2), 0);
+        for n_classes in [2, 3] {
+            let y: Vec<usize> = (0..n)
+                .map(|i| {
+                    let v = cols[0][i] + 0.5 * cols[1][i];
+                    if v.is_nan() {
+                        n_classes - 1
+                    } else {
+                        usize::from(v > 0.0) + usize::from(n_classes == 3 && v > 1.0)
+                    }
+                })
+                .collect();
+            let crit = GiniCriterion { y: &y, n_classes };
+            // Bootstrap rows: drawn with replacement, so duplicates.
+            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            for k in 1..d {
+                for min_samples_leaf in [1, 5] {
+                    let params = CartParams {
+                        max_features: Some(k),
+                        min_samples_leaf,
+                        ..CartParams::default()
+                    };
+                    let mut rng_a = rngx::rng(5);
+                    let mut rng_b = rngx::rng(5);
+                    let direct = Cart::fit_hist_with(
+                        &binned,
+                        &crit,
+                        &params,
+                        rows.clone(),
+                        &mut rng_a,
+                        true,
+                    );
+                    let subtract = Cart::fit_hist_with(
+                        &binned,
+                        &crit,
+                        &params,
+                        rows.clone(),
+                        &mut rng_b,
+                        false,
+                    );
+                    let case = format!("classes {n_classes}, k {k}, leaf {min_samples_leaf}");
+                    assert!(direct.n_nodes() > 1, "{case}: no split grown");
+                    assert_eq!(tree_bits(&direct), tree_bits(&subtract), "{case}");
+                    // Same feature samples drawn at the same nodes.
+                    assert_eq!(
+                        rng_a.gen_range(0..u64::MAX),
+                        rng_b.gen_range(0..u64::MAX),
+                        "{case}"
+                    );
+                }
+            }
         }
     }
 }

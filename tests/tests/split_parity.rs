@@ -108,3 +108,26 @@ fn histogram_evaluation_is_repeatable() {
     let b = ev.evaluate(&data).unwrap();
     assert_eq!(a.to_bits(), b.to_bits());
 }
+
+/// Pinned `Evaluator::evaluate` bits for the default random forest (and
+/// one single tree) on capped dataset analogs. The classification forests
+/// grow their nodes from sampled-feature histograms built directly per
+/// node, the regression forest and the single tree through sibling
+/// subtraction; the constants were captured before the direct build
+/// existed, so any drift in either path or in the one-pass fold
+/// prediction shows up here as a changed bit.
+#[test]
+fn default_evaluation_bits_are_pinned() {
+    let cases: [(&str, usize, ModelKind, u64); 5] = [
+        ("adult", 1200, ModelKind::RandomForest, 0x3fe4a285a738c3c4), // binary F1
+        ("jannis", 600, ModelKind::RandomForest, 0x3fd51501e2e17103), // 4-class F1
+        ("thyroid", 600, ModelKind::RandomForest, 0x3fed4f5853d614f5), // detection AUC
+        ("openml_618", 400, ModelKind::RandomForest, 0xbfa13a92979200fa), // 1-RAE
+        ("adult", 1200, ModelKind::DecisionTree, 0x3fe46990333917cf), // all features
+    ];
+    for (name, rows, model, expected) in cases {
+        let data = load(name, rows);
+        let score = Evaluator { model, ..Evaluator::default() }.evaluate(&data).unwrap();
+        assert_eq!(score.to_bits(), expected, "{model:?} on {name}: {score}");
+    }
+}
