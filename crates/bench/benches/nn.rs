@@ -10,12 +10,20 @@
 //! `SequenceRegressor::predict_into` (concatenated gate weights, hoisted
 //! input GEMM, pooled workspaces). `prefix` measures the engine's
 //! suffix-extension pattern through `fastft_core::scoring::PrefixCache`.
+//! The largest case is `max_seq_len = 192`, the longest sequence the
+//! engine encodes. `train_round` times one cold-start-shaped component
+//! round (predictor plus novelty estimator over the same history, many
+//! passes) both ways the engine could run it on a 2-lane pool: the two
+//! networks interleaved sample by sample on one lane, and as the two lanes
+//! of one `Runtime::join`, which is what `ReplayLearner` does.
 //!
 //! ```text
 //! cargo bench -p fastft-bench --bench nn             # full sweep
 //! cargo bench -p fastft-bench --bench nn -- --quick  # CI smoke
 //! ```
 
+use fastft_core::novelty::NoveltyEstimator;
+use fastft_core::predictor::{PerformancePredictor, PredictorConfig};
 use fastft_core::scoring::PrefixCache;
 use fastft_nn::dense::Dense;
 use fastft_nn::embedding::Embedding;
@@ -194,7 +202,89 @@ fn bench_case(seq_len: usize, reps: usize, out: &mut Vec<Record>) {
     });
 }
 
-fn write_json(records: &[Record], quick: bool) {
+/// Shape of the `train_round` case: a pima-sized cold-start history.
+struct RoundShape {
+    seqs: usize,
+    seq_len: usize,
+    passes: usize,
+    reps: usize,
+}
+
+struct RoundRecord {
+    shape: RoundShape,
+    interleaved_ms: f64,
+    join_ms: f64,
+}
+
+/// Fresh predictor and novelty estimator at the engine's configuration.
+fn components() -> (PerformancePredictor, NoveltyEstimator) {
+    let cfg = PredictorConfig::default();
+    (PerformancePredictor::new(VOCAB, cfg, 11), NoveltyEstimator::new(VOCAB, cfg, 23))
+}
+
+/// The weights and moments of both networks, for the equality check.
+fn state_bits(p: &mut PerformancePredictor, n: &mut NoveltyEstimator) -> Vec<u64> {
+    let (a, b) = (p.save_state(), n.save_state());
+    [&a, &b]
+        .iter()
+        .flat_map(|s| s.params.iter().chain(&s.opt_m).chain(&s.opt_v))
+        .flatten()
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+fn bench_train_round(shape: RoundShape) -> RoundRecord {
+    let RoundShape { seqs: n, seq_len, passes, reps } = shape;
+    println!("== train_round: {n} seqs x {passes} passes, seq_len {seq_len}, 2-lane pool ==");
+    let history: Vec<(Vec<usize>, f64)> = random_seqs(n, seq_len, 300)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| (s, 0.5 + 0.01 * i as f64))
+        .collect();
+    let rt = Runtime::new(2);
+    // Each rep trains fresh networks, so every rep does the same work.
+    let interleaved = |out: &mut Vec<u64>| {
+        let (mut p, mut nov) = components();
+        for _ in 0..passes {
+            for (seq, v) in &history {
+                p.train_step(seq, *v);
+                nov.train_step(seq);
+            }
+        }
+        *out = state_bits(&mut p, &mut nov);
+    };
+    let joined = |out: &mut Vec<u64>| {
+        let (mut p, mut nov) = components();
+        rt.join(
+            || {
+                for _ in 0..passes {
+                    for (seq, v) in &history {
+                        p.train_step(seq, *v);
+                    }
+                }
+            },
+            || {
+                for _ in 0..passes {
+                    for (seq, _) in &history {
+                        nov.train_step(seq);
+                    }
+                }
+            },
+        );
+        *out = state_bits(&mut p, &mut nov);
+    };
+    let (mut bits_a, mut bits_b) = (Vec::new(), Vec::new());
+    let interleaved_ms = time_us(reps, || interleaved(&mut bits_a)) / 1e3;
+    let join_ms = time_us(reps, || joined(&mut bits_b)) / 1e3;
+    assert!(bits_a == bits_b, "join must train both networks bit for bit as interleaved");
+    println!(
+        "  round     interleaved {interleaved_ms:>9.1} ms | join {join_ms:>9.1} ms | {:.2}x",
+        interleaved_ms / join_ms
+    );
+    RoundRecord { shape, interleaved_ms, join_ms }
+}
+
+fn write_json(records: &[Record], round: &RoundRecord, quick: bool) {
     let mut body = String::from("{\n  \"benchmark\": \"nn_fused_vs_reference\",\n");
     body.push_str(&format!(
         "  \"quick\": {quick},\n  \"config\": {{\"vocab\": {VOCAB}, \"dim\": {DIM}, \
@@ -219,7 +309,16 @@ fn write_json(records: &[Record], quick: bool) {
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
-    body.push_str("  ]\n}\n");
+    let RoundShape { seqs, seq_len, passes, .. } = round.shape;
+    body.push_str(&format!(
+        "  ],\n  \"train_round\": {{\"seqs\": {seqs}, \"seq_len\": {seq_len}, \
+         \"passes\": {passes}, \"threads\": 2, \"interleaved_ms\": {:.2}, \"join_ms\": {:.2}, \
+         \"speedup\": {:.2}, \"available_parallelism\": {}}}\n}}\n",
+        round.interleaved_ms,
+        round.join_ms,
+        round.interleaved_ms / round.join_ms,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    ));
     // `cargo bench` runs with the package directory as CWD; anchor the
     // output at the workspace root so CI can pick it up at a fixed path.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_nn.json");
@@ -234,11 +333,23 @@ fn main() {
         "fastft nn fused-kernel benchmark ({}; median wall time)",
         if quick { "quick" } else { "full" }
     );
-    let cases: Vec<(usize, usize)> =
-        if quick { vec![(8, 3), (24, 3)] } else { vec![(8, 15), (24, 9), (64, 5)] };
+    let cases: Vec<(usize, usize)> = if quick {
+        vec![(8, 3), (24, 3), (192, 1)]
+    } else {
+        vec![(8, 15), (24, 9), (64, 5), (192, 3)]
+    };
     let mut records = Vec::new();
     for &(seq_len, reps) in &cases {
         bench_case(seq_len, reps, &mut records);
     }
-    write_json(&records, quick);
+    // 12 sequences = the evaluated steps of a pima cold start (4 episodes
+    // x 3 steps); 32 passes = `retrain_epochs`; 48 tokens ~ the encoding
+    // of a 16-feature set.
+    let shape = if quick {
+        RoundShape { seqs: 12, seq_len: 48, passes: 4, reps: 1 }
+    } else {
+        RoundShape { seqs: 12, seq_len: 48, passes: 32, reps: 5 }
+    };
+    let round = bench_train_round(shape);
+    write_json(&records, &round, quick);
 }

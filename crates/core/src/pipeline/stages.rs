@@ -23,9 +23,11 @@
 use crate::agents::{MemoryUnit, Role};
 use crate::cluster::{cluster_features, MiCache};
 use crate::config::FastFtConfig;
+use crate::novelty::NoveltyEstimator;
 use crate::ops::Op;
 use crate::pipeline::event::{RunEvent, RunObserver};
 use crate::pipeline::search_state::SearchState;
+use crate::predictor::PerformancePredictor;
 use crate::sequence::{canonical_key, encode_feature_set};
 use crate::state;
 use crate::transform::FeatureSet;
@@ -513,57 +515,107 @@ impl RewardModel for AdaptiveRewardModel {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ReplayLearner;
 
+/// One component-training sample: a token sequence and its downstream
+/// score (the layout of [`SearchState::eval_history`]).
+type Sample = (Vec<usize>, f64);
+
 impl ReplayLearner {
-    /// Train the components on `items` in order: one Adam step per sample
-    /// when `cfg.minibatch == 0` (the paper's schedule), averaged-gradient
-    /// steps over `cfg.minibatch`-sized chunks otherwise.
-    fn train_components_on(cx: &mut StageCx<'_>, items: &[(Vec<usize>, f64)], train_novelty: bool) {
-        if cx.cfg.minibatch > 0 {
-            for chunk in items.chunks(cx.cfg.minibatch) {
-                let batch: Vec<(&[usize], f64)> =
-                    chunk.iter().map(|(s, v)| (s.as_slice(), *v)).collect();
-                if cx.cfg.use_predictor {
-                    cx.state.predictor.train_minibatch(&batch, cx.runtime);
+    /// Train the predictor on each slice of `plan` in turn: one Adam step
+    /// per sample when `minibatch == 0` (the paper's schedule),
+    /// averaged-gradient steps over `minibatch`-sized chunks of each slice
+    /// otherwise.
+    fn train_predictor(
+        predictor: &mut PerformancePredictor,
+        plan: &[&[Sample]],
+        minibatch: usize,
+        runtime: &Runtime,
+    ) {
+        for &items in plan {
+            if minibatch > 0 {
+                for chunk in items.chunks(minibatch) {
+                    let batch: Vec<(&[usize], f64)> =
+                        chunk.iter().map(|(s, v)| (s.as_slice(), *v)).collect();
+                    predictor.train_minibatch(&batch, runtime);
                 }
-                if train_novelty && cx.cfg.use_novelty {
-                    let seqs: Vec<&[usize]> = batch.iter().map(|&(s, _)| s).collect();
-                    cx.state.novelty.train_minibatch(&seqs, cx.runtime);
-                }
-            }
-        } else {
-            for (seq, v) in items {
-                if cx.cfg.use_predictor {
-                    cx.state.predictor.train_step(seq, *v);
-                }
-                if train_novelty && cx.cfg.use_novelty {
-                    cx.state.novelty.train_step(seq);
+            } else {
+                for (seq, v) in items {
+                    predictor.train_step(seq, *v);
                 }
             }
         }
     }
 
-    /// Run a component-training round under a fault guard: the predictor
-    /// and estimator weights are snapshotted first, and a round that
-    /// panics or leaves non-finite parameters is rolled back to the
-    /// snapshot (one `weight_rollbacks` count per restored component)
-    /// instead of poisoning every score after it. Returns the number of
-    /// rolled-back components.
-    fn train_guarded(cx: &mut StageCx<'_>, round: impl FnOnce(&mut StageCx<'_>)) -> usize {
-        let pred_backup = cx.cfg.use_predictor.then(|| cx.state.predictor.save_state());
-        let nov_backup = cx.cfg.use_novelty.then(|| cx.state.novelty.save_state());
-        let panicked = catch_unwind(AssertUnwindSafe(|| round(&mut *cx))).is_err();
+    /// [`ReplayLearner::train_predictor`] for the novelty estimator, which
+    /// distils on the sequences and ignores their scores.
+    fn train_novelty(
+        novelty: &mut NoveltyEstimator,
+        plan: &[&[Sample]],
+        minibatch: usize,
+        runtime: &Runtime,
+    ) {
+        for &items in plan {
+            if minibatch > 0 {
+                for chunk in items.chunks(minibatch) {
+                    let seqs: Vec<&[usize]> = chunk.iter().map(|(s, _)| s.as_slice()).collect();
+                    novelty.train_minibatch(&seqs, runtime);
+                }
+            } else {
+                for (seq, _) in items {
+                    novelty.train_step(seq);
+                }
+            }
+        }
+    }
+
+    /// Run one component-training round under a fault guard: the predictor
+    /// over `pred_plan` and the novelty estimator over `nov_plan`, as the
+    /// two lanes of one [`Runtime::join`].
+    ///
+    /// The networks share no state and draw no RNG, and each lane keeps its
+    /// network's step order, so the round's weights are bitwise those of
+    /// training the two one after the other, at any worker count. Each
+    /// enabled network's weights are snapshotted first. A panic in either
+    /// lane (re-raised by `join` once both lanes have finished) restores
+    /// both networks; a lane that leaves non-finite parameters restores only
+    /// its own. Returns the number of restored networks (one
+    /// `weight_rollbacks` count each).
+    fn train_guarded(
+        cfg: &FastFtConfig,
+        runtime: &Runtime,
+        predictor: &mut PerformancePredictor,
+        novelty: &mut NoveltyEstimator,
+        pred_plan: &[&[Sample]],
+        nov_plan: &[&[Sample]],
+    ) -> usize {
+        let (use_predictor, use_novelty, minibatch) =
+            (cfg.use_predictor, cfg.use_novelty, cfg.minibatch);
+        let pred_backup = use_predictor.then(|| predictor.save_state());
+        let nov_backup = use_novelty.then(|| novelty.save_state());
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            runtime.join(
+                || {
+                    if use_predictor {
+                        Self::train_predictor(predictor, pred_plan, minibatch, runtime);
+                    }
+                },
+                || {
+                    if use_novelty {
+                        Self::train_novelty(novelty, nov_plan, minibatch, runtime);
+                    }
+                },
+            )
+        }))
+        .is_err();
         let mut rollbacks = 0;
         if let Some(b) = pred_backup {
-            if panicked || !cx.state.predictor.params_finite() {
-                let _ = cx.state.predictor.load_state(&b);
-                cx.state.telemetry.weight_rollbacks += 1;
+            if panicked || !predictor.params_finite() {
+                let _ = predictor.load_state(&b);
                 rollbacks += 1;
             }
         }
         if let Some(b) = nov_backup {
-            if panicked || !cx.state.novelty.params_finite() {
-                let _ = cx.state.novelty.load_state(&b);
-                cx.state.telemetry.weight_rollbacks += 1;
+            if panicked || !novelty.params_finite() {
+                let _ = novelty.load_state(&b);
                 rollbacks += 1;
             }
         }
@@ -590,14 +642,19 @@ impl Learner for ReplayLearner {
 
     fn train_cold_start(&mut self, cx: &mut StageCx<'_>) {
         let t_est = Instant::now();
-        let passes = cx.cfg.retrain_epochs.max(1);
-        let history = cx.state.eval_history.clone();
-        let rollbacks = Self::train_guarded(cx, move |cx| {
-            for _ in 0..passes {
-                Self::train_components_on(cx, &history, true);
-            }
-        });
-        cx.state.telemetry.estimation_secs += t_est.elapsed().as_secs_f64();
+        let st = &mut *cx.state;
+        // Both networks make every pass over the history, read in place.
+        let plan = vec![st.eval_history.as_slice(); cx.cfg.retrain_epochs.max(1)];
+        let rollbacks = Self::train_guarded(
+            cx.cfg,
+            cx.runtime,
+            &mut st.predictor,
+            &mut st.novelty,
+            &plan,
+            &plan,
+        );
+        st.telemetry.weight_rollbacks += rollbacks;
+        st.telemetry.estimation_secs += t_est.elapsed().as_secs_f64();
         cx.emit(RunEvent::ComponentsTrained { cold_start: true, rollbacks });
     }
 
@@ -613,25 +670,192 @@ impl Learner for ReplayLearner {
                 sampled.push((mem.seq.clone(), mem.perf));
             }
         }
-        let use_predictor = cx.cfg.use_predictor;
-        let recent = cx.state.eval_history.len().saturating_sub(cx.cfg.retrain_epochs);
-        let tail: Vec<(Vec<usize>, f64)> = cx.state.eval_history[recent..].to_vec();
-        let rollbacks = Self::train_guarded(cx, move |cx| {
-            Self::train_components_on(cx, &sampled, true);
-            // Anchor the predictor on real downstream results as well, so
-            // estimated rewards cannot drift from evaluated ones.
-            if use_predictor {
-                Self::train_components_on(cx, &tail, false);
-            }
-        });
-        cx.state.telemetry.estimation_secs += t_est.elapsed().as_secs_f64();
+        let st = &mut *cx.state;
+        let recent = st.eval_history.len().saturating_sub(cx.cfg.retrain_epochs);
+        // The predictor also trains on the latest real downstream results,
+        // so estimated rewards cannot drift from evaluated ones.
+        let pred_plan = [sampled.as_slice(), &st.eval_history[recent..]];
+        let rollbacks = Self::train_guarded(
+            cx.cfg,
+            cx.runtime,
+            &mut st.predictor,
+            &mut st.novelty,
+            &pred_plan,
+            &[sampled.as_slice()],
+        );
+        st.telemetry.weight_rollbacks += rollbacks;
+        st.telemetry.estimation_secs += t_est.elapsed().as_secs_f64();
         cx.emit(RunEvent::ComponentsTrained { cold_start: false, rollbacks });
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{percentile, Learner, ReplayLearner, Sample, StageCx};
+    use crate::config::FastFtConfig;
+    use crate::pipeline::{NullObserver, SearchState};
+    use fastft_nn::NetState;
+    use fastft_runtime::Runtime;
+    use fastft_tabular::datagen;
+
+    /// Every bit of a network snapshot: Adam step count, then parameters
+    /// and both moment vectors.
+    fn bits(s: &NetState) -> Vec<u64> {
+        let tensors = s.params.iter().chain(&s.opt_m).chain(&s.opt_v);
+        std::iter::once(s.opt_t).chain(tensors.flatten().map(|x| x.to_bits())).collect()
+    }
+
+    /// Both networks' states before and after one training round.
+    struct RoundOutcome {
+        pred_before: Vec<u64>,
+        nov_before: Vec<u64>,
+        pred_after: Vec<u64>,
+        nov_after: Vec<u64>,
+        rollbacks: usize,
+    }
+
+    /// Run one cold-start round (3 passes) over `history` on a
+    /// `threads`-lane pool, after one round on other clean data so the
+    /// networks start from trained weights and non-zero Adam moments.
+    fn cold_round(history: &[Sample], threads: usize, minibatch: usize) -> RoundOutcome {
+        let data = datagen::generate_capped(datagen::by_name("pima_indian").unwrap(), 40, 5);
+        let cfg = FastFtConfig { retrain_epochs: 3, minibatch, ..FastFtConfig::default() };
+        let rt = Runtime::new(threads);
+        let mut state = SearchState::new(&cfg, &data);
+        let mut obs = NullObserver;
+        let mut cx = StageCx {
+            cfg: &cfg,
+            original: &data,
+            runtime: &rt,
+            state: &mut state,
+            observer: &mut obs,
+        };
+        cx.state.eval_history = vec![(vec![1, 2, 3], 0.6), (vec![4, 1], 0.7)];
+        ReplayLearner.train_cold_start(&mut cx);
+        let pred_before = bits(&cx.state.predictor.save_state());
+        let nov_before = bits(&cx.state.novelty.save_state());
+        cx.state.eval_history = history.to_vec();
+        let rolled_before = cx.state.telemetry.weight_rollbacks;
+        ReplayLearner.train_cold_start(&mut cx);
+        RoundOutcome {
+            pred_before,
+            nov_before,
+            pred_after: bits(&cx.state.predictor.save_state()),
+            nov_after: bits(&cx.state.novelty.save_state()),
+            rollbacks: cx.state.telemetry.weight_rollbacks - rolled_before,
+        }
+    }
+
+    fn clean_history() -> Vec<Sample> {
+        vec![(vec![2, 5, 1], 0.55), (vec![3, 3], 0.61), (vec![1, 4, 2, 6], 0.58)]
+    }
+
+    #[test]
+    fn round_matches_networks_trained_one_after_the_other() {
+        let history = clean_history();
+        for minibatch in [0, 2] {
+            let data = datagen::generate_capped(datagen::by_name("pima_indian").unwrap(), 40, 5);
+            let cfg = FastFtConfig { retrain_epochs: 3, minibatch, ..FastFtConfig::default() };
+            // Reference: each network alone, its passes in order.
+            let rt = Runtime::new(1);
+            let mut reference = SearchState::new(&cfg, &data);
+            for _ in 0..cfg.retrain_epochs {
+                if minibatch == 0 {
+                    for (seq, v) in &history {
+                        reference.predictor.train_step(seq, *v);
+                    }
+                } else {
+                    for chunk in history.chunks(minibatch) {
+                        let batch: Vec<(&[usize], f64)> =
+                            chunk.iter().map(|(s, v)| (s.as_slice(), *v)).collect();
+                        reference.predictor.train_minibatch(&batch, &rt);
+                    }
+                }
+            }
+            for _ in 0..cfg.retrain_epochs {
+                if minibatch == 0 {
+                    for (seq, _) in &history {
+                        reference.novelty.train_step(seq);
+                    }
+                } else {
+                    for chunk in history.chunks(minibatch) {
+                        let seqs: Vec<&[usize]> = chunk.iter().map(|(s, _)| s.as_slice()).collect();
+                        reference.novelty.train_minibatch(&seqs, &rt);
+                    }
+                }
+            }
+            for threads in [1, 2] {
+                let rt = Runtime::new(threads);
+                let mut state = SearchState::new(&cfg, &data);
+                state.eval_history = history.clone();
+                let mut obs = NullObserver;
+                let mut cx = StageCx {
+                    cfg: &cfg,
+                    original: &data,
+                    runtime: &rt,
+                    state: &mut state,
+                    observer: &mut obs,
+                };
+                ReplayLearner.train_cold_start(&mut cx);
+                let ctx = format!("minibatch {minibatch}, threads {threads}");
+                assert_eq!(
+                    bits(&state.predictor.save_state()),
+                    bits(&reference.predictor.save_state()),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    bits(&state.novelty.save_state()),
+                    bits(&reference.novelty.save_state()),
+                    "{ctx}"
+                );
+                assert_eq!(state.telemetry.weight_rollbacks, 0, "{ctx}");
+            }
+        }
+    }
+
+    /// A NaN score poisons only the predictor: it is restored to its
+    /// pre-round weights while the novelty estimator, which never reads
+    /// scores, keeps the round exactly as if the score had been finite.
+    #[test]
+    fn nan_score_rolls_back_only_the_predictor() {
+        let mut poisoned = clean_history();
+        poisoned[1].1 = f64::NAN;
+        for minibatch in [0, 2] {
+            let control = cold_round(&clean_history(), 1, minibatch);
+            assert_eq!(control.rollbacks, 0);
+            assert_ne!(control.pred_after, control.pred_before, "the control round must train");
+            let mut outcomes = Vec::new();
+            for threads in [1, 2] {
+                let out = cold_round(&poisoned, threads, minibatch);
+                let ctx = format!("minibatch {minibatch}, threads {threads}");
+                assert_eq!(out.rollbacks, 1, "{ctx}");
+                assert_eq!(out.pred_after, out.pred_before, "{ctx}: predictor not restored");
+                assert_eq!(out.nov_after, control.nov_after, "{ctx}: novelty lane disturbed");
+                outcomes.push((out.pred_after, out.nov_after));
+            }
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "minibatch {minibatch}");
+        }
+    }
+
+    /// An out-of-vocabulary token panics both lanes: the panic is
+    /// contained and both networks come back bit for bit.
+    #[test]
+    fn panicking_lanes_restore_both_networks() {
+        let mut broken = clean_history();
+        broken[2].0.push(10_000);
+        for minibatch in [0, 2] {
+            let mut outcomes = Vec::new();
+            for threads in [1, 2] {
+                let out = cold_round(&broken, threads, minibatch);
+                let ctx = format!("minibatch {minibatch}, threads {threads}");
+                assert_eq!(out.rollbacks, 2, "{ctx}");
+                assert_eq!(out.pred_after, out.pred_before, "{ctx}: predictor not restored");
+                assert_eq!(out.nov_after, out.nov_before, "{ctx}: novelty not restored");
+                outcomes.push((out.pred_after, out.nov_after));
+            }
+            assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "minibatch {minibatch}");
+        }
+    }
 
     #[test]
     fn percentile_interpolates() {

@@ -23,6 +23,9 @@
 //!   submitting thread *helps*: it pops jobs off the shared queue and runs
 //!   them. Nested `par_map` calls therefore make progress even when every
 //!   worker is blocked inside an outer batch.
+//! - **Two-lane fork/join.** [`Runtime::join`] runs two independent
+//!   borrowed closures as one batch, for callers whose work is two
+//!   unequal tasks rather than a list of like items.
 //! - **Panic transparency.** A panicking job is caught on the worker and
 //!   re-raised on the submitting thread once the batch completes, so
 //!   `par_map` panics exactly like the equivalent serial loop would.
@@ -251,6 +254,44 @@ impl Runtime {
         }));
     }
 
+    /// Run two independent closures, in parallel when the pool has more
+    /// than one lane, and return their results as `(a(), b())`.
+    ///
+    /// Both closures always run to completion: a panic in either is caught
+    /// and re-raised on the calling thread only after the other has
+    /// finished (`a`'s panic wins if both panic), at every lane count. The
+    /// pair is one batch on the pool, so the caller helps while it waits
+    /// and `join` nests inside `par_map` (and vice versa) without
+    /// deadlock. With one lane, `a` runs and then `b`, inline on the
+    /// calling thread.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB + Send,
+        RA: Send,
+        RB: Send,
+    {
+        let (ra, rb) = if self.threads == 1 {
+            (catch_unwind(AssertUnwindSafe(a)), catch_unwind(AssertUnwindSafe(b)))
+        } else {
+            let mut ra = None;
+            let mut rb = None;
+            {
+                let (sa, sb) = (&mut ra, &mut rb);
+                let lanes: [Box<dyn FnOnce() + Send + '_>; 2] = [
+                    Box::new(move || *sa = Some(catch_unwind(AssertUnwindSafe(a)))),
+                    Box::new(move || *sb = Some(catch_unwind(AssertUnwindSafe(b)))),
+                ];
+                self.run_batch(lanes.into_iter());
+            }
+            (ra.expect("run_batch ran lane a"), rb.expect("run_batch ran lane b"))
+        };
+        match (ra, rb) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(p), _) | (_, Err(p)) => resume_unwind(p),
+        }
+    }
+
     /// Queue every job in `jobs`, help drain the queue until the batch
     /// completes, then propagate the first panic (if any).
     ///
@@ -469,6 +510,129 @@ mod tests {
         std::env::remove_var("FASTFT_THREADS");
         let rt = Runtime::from_env();
         assert!(rt.threads() >= 1);
+    }
+
+    #[test]
+    fn join_returns_results_in_argument_order() {
+        for threads in [1, 2, 4] {
+            let rt = Runtime::new(threads);
+            assert_eq!(rt.join(|| 7u32, || "b"), (7, "b"), "threads {threads}");
+            let (left, right) = rt.join(|| vec![1u8; 3], || (0..5).sum::<i32>());
+            assert_eq!((left, right), (vec![1, 1, 1], 10), "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn join_runs_each_closure_exactly_once() {
+        for threads in [1, 2, 4] {
+            let rt = Runtime::new(threads);
+            let (a, b) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            for _ in 0..20 {
+                rt.join(|| a.fetch_add(1, Ordering::Relaxed), || b.fetch_add(1, Ordering::Relaxed));
+            }
+            assert_eq!(a.load(Ordering::Relaxed), 20, "threads {threads}");
+            assert_eq!(b.load(Ordering::Relaxed), 20, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn single_lane_join_runs_inline_in_order() {
+        let rt = Runtime::new(1);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let (ta, tb) = rt.join(
+            || {
+                order.lock().unwrap().push('a');
+                std::thread::current().id()
+            },
+            || {
+                order.lock().unwrap().push('b');
+                std::thread::current().id()
+            },
+        );
+        assert_eq!((ta, tb), (caller, caller));
+        assert_eq!(*order.lock().unwrap(), vec!['a', 'b']);
+    }
+
+    /// Run `join` where one side panics, and return the panic message
+    /// plus whether the other side had finished when `join` unwound.
+    ///
+    /// With more than one lane the panicking side first hands a token to
+    /// the other side, which blocks on it: the other side is provably
+    /// still running when the panic happens, so `join` must wait for it.
+    fn join_with_panic(rt: &Runtime, panic_in_a: bool) -> (String, bool) {
+        let other_done = AtomicBool::new(false);
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let handshake = rt.threads() > 1;
+        let panicking = move || -> u32 {
+            if handshake {
+                tx.send(()).unwrap();
+            }
+            panic!("lane failed")
+        };
+        let done = &other_done;
+        let other = move || -> u32 {
+            if handshake {
+                rx.recv().unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+            1
+        };
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            if panic_in_a {
+                rt.join(panicking, other);
+            } else {
+                rt.join(other, panicking);
+            }
+        }));
+        let payload = caught.expect_err("join must re-raise the lane's panic");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default().to_owned();
+        (msg, other_done.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn join_reraises_a_panic_after_the_other_side_finishes() {
+        for threads in [1, 2, 4] {
+            let rt = Runtime::new(threads);
+            for panic_in_a in [true, false] {
+                let (msg, other_done) = join_with_panic(&rt, panic_in_a);
+                assert_eq!(msg, "lane failed", "threads {threads}, a panics: {panic_in_a}");
+                assert!(other_done, "threads {threads}, a panics: {panic_in_a}");
+                // The pool stays usable after the panicking pair.
+                assert_eq!(rt.par_map((0..6).collect(), |x: i32| x * 3), vec![0, 3, 6, 9, 12, 15]);
+            }
+        }
+    }
+
+    #[test]
+    fn join_prefers_the_first_sides_panic() {
+        for threads in [1, 2] {
+            let rt = Runtime::new(threads);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                rt.join(|| -> u8 { panic!("a") }, || -> u8 { panic!("b") })
+            }));
+            let payload = caught.expect_err("both sides panicked");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"a"), "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn join_and_par_map_nest_both_ways() {
+        for threads in [2, 4] {
+            let rt = Runtime::new(threads);
+            // join inside par_map.
+            let out = rt.par_map((0..8).collect(), |x: u64| {
+                let (l, r) = rt.join(|| x * 2, || x + 100);
+                l + r
+            });
+            assert_eq!(out, (0..8).map(|x| x * 2 + x + 100).collect::<Vec<_>>());
+            // par_map inside join, on both sides at once.
+            let (l, r) = rt.join(
+                || rt.par_map((0..16).collect(), |y: u64| y * y).iter().sum::<u64>(),
+                || rt.par_map((0..16).collect(), |y: u64| y + 1).iter().sum::<u64>(),
+            );
+            assert_eq!((l, r), ((0..16).map(|y| y * y).sum(), (1..17).sum()), "threads {threads}");
+        }
     }
 
     #[test]
